@@ -45,7 +45,8 @@ from repro.analyze.deadlock import (DEADLOCK_RULES, CycleOp, DeadlockFinding,
                                     detect_deadlocks)
 from repro.analyze.elide import (ELIDE_RULE, ElidedOp, ElisionReport,
                                  ElisionResult, certified_minimize,
-                                 launch_closure, minimize,
+                                 launch_certificate, launch_closure,
+                                 minimize,
                                  minimize_networks)
 from repro.analyze.hazards import (Hazard, HazardReport, ProgramVerdict,
                                    analyze_networks, detect, verdict_for)
@@ -57,8 +58,8 @@ from repro.analyze.plans import (DATA_PARALLEL_REPLICAS, PLAN_KINDS,
                                  program_from_graph,
                                  program_from_schedule_plan,
                                  program_from_works)
-from repro.analyze.program import (DEFAULT_STREAM, DispatchProgram, Launch,
-                                   RecordEvent, SyncAll, WaitEvent,
+from repro.analyze.program import (DEFAULT_STREAM, DispatchProgram, HBIndex,
+                                   Launch, RecordEvent, SyncAll, WaitEvent,
                                    happens_before, ordered)
 from repro.analyze.report import AnalyzeReport
 from repro.analyze.rules import (DEFAULT_RULES, MissingLayerSyncRule,
@@ -75,8 +76,8 @@ __all__ = [
     "DeadlockVerdict", "analyze_deadlocks", "deadlock_verdict_for",
     "detect_deadlocks",
     "ELIDE_RULE", "ElidedOp", "ElisionReport", "ElisionResult",
-    "certified_minimize", "launch_closure", "minimize",
-    "minimize_networks",
+    "certified_minimize", "launch_certificate", "launch_closure",
+    "minimize", "minimize_networks",
     "Hazard", "HazardReport", "ProgramVerdict", "analyze_networks",
     "detect", "verdict_for",
     "LintReport", "LintRule", "LintViolation", "lint_file", "lint_paths",
@@ -84,8 +85,8 @@ __all__ = [
     "DATA_PARALLEL_REPLICAS", "PLAN_KINDS", "ZOO_NETWORKS",
     "build_programs", "program_from_graph", "program_from_schedule_plan",
     "program_from_works",
-    "DEFAULT_STREAM", "DispatchProgram", "Launch", "RecordEvent",
-    "SyncAll", "WaitEvent", "happens_before", "ordered",
+    "DEFAULT_STREAM", "DispatchProgram", "HBIndex", "Launch",
+    "RecordEvent", "SyncAll", "WaitEvent", "happens_before", "ordered",
     "AnalyzeReport",
     "DEFAULT_RULES", "MissingLayerSyncRule", "UnorderedIterationRule",
     "UnseededRngRule", "WallClockRule",

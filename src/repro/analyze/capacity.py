@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.analyze.program import (DEFAULT_STREAM, DispatchProgram, Launch,
-                                   happens_before)
+from repro.analyze.program import (DEFAULT_STREAM, DispatchProgram, HBIndex,
+                                   Launch)
 
 #: Summed device fill above which one depth level is over-subscribed.
 #: 1.0 is perfect packing; a small slack tolerates boundary kernels.
@@ -78,38 +78,39 @@ class CapacityFinding:
         }
 
 
-def concurrency_levels(program: DispatchProgram) -> list[list[int]]:
+def concurrency_levels(program: DispatchProgram,
+                       index: Optional[HBIndex] = None) -> list[list[int]]:
     """Launch op indices grouped by happens-before depth.
 
     ``levels[d]`` holds the launches whose longest predecessor chain
     (counting launches only) has length ``d``; members of one level are
     pairwise unordered, i.e. may be concurrently resident.
+
+    One sweep over the direct predecessors in ``index`` (built here when
+    not given): ``reach[i]`` is the deepest launch depth among op ``i``
+    and everything that happens before it, and happens-before is the
+    transitive closure of the direct edges.
     """
     ops = program.ops
-    hb = happens_before(ops)
-    launch_idx = [i for i, op in enumerate(ops) if isinstance(op, Launch)]
-    depth: dict[int, int] = {}
-    for i in launch_idx:        # issue order: predecessors come first
-        d = 0
-        for p in launch_idx:
-            if p >= i:
-                break
-            if (hb[i] >> p) & 1:
-                d = max(d, depth[p] + 1)
-        depth[i] = d
+    preds = (index or HBIndex.build(ops)).preds
+    reach: list[int] = []
     levels: list[list[int]] = []
-    for i in launch_idx:
-        d = depth[i]
-        while len(levels) <= d:
-            levels.append([])
-        levels[d].append(i)
+    for i, op in enumerate(ops):
+        d = max((reach[p] for p in preds[i]), default=-1)
+        if isinstance(op, Launch):
+            d += 1
+            if d == len(levels):
+                levels.append([])
+            levels[d].append(i)
+        reach.append(d)
     return levels
 
 
 def check_capacity(program: DispatchProgram,
                    fills: Optional[Mapping[int, float]] = None,
                    pool_limit: Optional[int] = None,
-                   device=None) -> list[CapacityFinding]:
+                   device=None,
+                   index: Optional[HBIndex] = None) -> list[CapacityFinding]:
     """All capacity findings for ``program``, post-suppression.
 
     ``fills`` maps a launch's ``chain`` id to its stand-alone device
@@ -117,7 +118,9 @@ def check_capacity(program: DispatchProgram,
     :func:`repro.interop.resources.estimate_graph`); without it only the
     stream-pool rule can fire.  ``pool_limit`` defaults to the device's
     ``max_concurrent_kernels`` when a
-    :class:`~repro.gpusim.device.DeviceProperties` is given.
+    :class:`~repro.gpusim.device.DeviceProperties` is given.  ``index``
+    is the program's happens-before index when the caller already built
+    it.
     """
     findings: list[CapacityFinding] = []
     if pool_limit is None and device is not None:
@@ -142,7 +145,8 @@ def check_capacity(program: DispatchProgram,
 
     if fills:
         ops = program.ops
-        for level, members in enumerate(concurrency_levels(program)):
+        levels = concurrency_levels(program, index)
+        for level, members in enumerate(levels):
             with_fill = [(i, fills.get(ops[i].chain)) for i in members]
             total = sum(f for _, f in with_fill if f is not None)
             if total <= OVERSUBSCRIPTION_FACTOR:

@@ -46,8 +46,8 @@ from typing import Optional, Sequence, Union
 
 from repro.analyze.plans import ZOO_NETWORKS, build_programs
 from repro.analyze.program import (DEFAULT_STREAM, DispatchOp,
-                                   DispatchProgram, Launch, RecordEvent,
-                                   SyncAll, WaitEvent)
+                                   DispatchProgram, HBState, Launch,
+                                   RecordEvent, SyncAll, WaitEvent)
 
 #: Rule ids emitted by this detector (also SARIF rule ids).
 DEADLOCK_RULES = ("deadlock/cycle", "deadlock/self-wait",
@@ -135,7 +135,8 @@ def direct_dependencies(
     ``WaitEvent`` index to the record index it binds to (the latest
     prior record, else the earliest later record, else ``None``).
     Forward bindings contribute the edge that makes mis-ordered
-    record/wait pairs cyclic under strict semantics.
+    record/wait pairs cyclic under strict semantics; every other edge is
+    the happens-before fold's own (:class:`HBState`).
     """
     record_sites: dict[int, list[int]] = {}
     for i, op in enumerate(ops):
@@ -144,38 +145,18 @@ def direct_dependencies(
 
     deps: list[set[int]] = []
     bindings: dict[int, Optional[int]] = {}
-    tails: dict[int, int] = {}
-    barrier: Optional[int] = None
-    latest_record: dict[int, int] = {}
+    state = HBState()
     for i, op in enumerate(ops):
-        preds: set[int] = set()
-        if isinstance(op, SyncAll):
-            preds.update(tails.values())
-            barrier = i
-            tails[DEFAULT_STREAM] = i
-        else:
-            stream = op.stream
-            if stream == DEFAULT_STREAM:
-                preds.update(tails.values())
-                barrier = i
-            else:
-                if stream in tails:
-                    preds.add(tails[stream])
-                if barrier is not None:
-                    preds.add(barrier)
-                if isinstance(op, WaitEvent):
-                    if op.event in latest_record:
-                        bind = latest_record[op.event]
-                    else:
-                        later = [r for r in record_sites.get(op.event, ())
-                                 if r > i]
-                        bind = later[0] if later else None
-                    bindings[i] = bind
-                    if bind is not None:
-                        preds.add(bind)
-            tails[stream] = i
-            if isinstance(op, RecordEvent):
-                latest_record[op.event] = i
+        bind: Optional[int] = None
+        if isinstance(op, WaitEvent) and op.stream != DEFAULT_STREAM:
+            bind = state.records.get(op.event)
+            if bind is None:
+                later = [r for r in record_sites.get(op.event, ()) if r > i]
+                bind = later[0] if later else None
+            bindings[i] = bind
+        preds = set(state.step(i, op))
+        if bind is not None:
+            preds.add(bind)
         preds.discard(i)
         deps.append(preds)
     return deps, bindings

@@ -22,8 +22,11 @@ The pass is greedy in issue order over the transitive reduction: each
 wait is tentatively deleted and kept out only if the closure is
 unchanged; records whose every bound wait was elided are then dropped as
 orphans (a record with no wait is pure host overhead), again under the
-same closure check.  :func:`certified_minimize` wraps the pass with the
-full certificate: deadlock-freedom of the input, closure equality,
+same closure check.  The check is incremental (:class:`_Elider`): it
+reads the program's launch-projected happens-before index and re-sweeps
+only from the candidate onward, never rebuilding the whole relation.
+:func:`certified_minimize` wraps the pass with the full certificate,
+computed from scratch: deadlock-freedom of the input, closure equality,
 identical launch sequences, and a hazard-verdict match from the race
 detector on the minimized program.
 """
@@ -33,11 +36,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
+from repro.analyze.deadlock import DeadlockVerdict, detect_deadlocks
 from repro.analyze.hazards import detect
-from repro.analyze.program import (DispatchOp, DispatchProgram, Launch,
-                                   RecordEvent, WaitEvent, happens_before)
+from repro.analyze.program import (DispatchOp, DispatchProgram, HBIndex,
+                                   HBState, Launch, RecordEvent, WaitEvent)
 from repro.errors import AnalyzeError
 
 #: SARIF rule id for an elided (provably redundant) synchronization op.
@@ -64,28 +68,42 @@ class ElidedOp:
                 "reason": self.reason}
 
 
-def launch_closure(ops: Sequence[DispatchOp]) -> tuple:
-    """The elision certificate: launch order per stream + hb projection.
+def launch_certificate(ops: Sequence[DispatchOp],
+                       index: Optional[HBIndex] = None) -> tuple:
+    """The elision certificate: launch order plus launch-projected hb.
 
-    Returns ``(sequences, closure)`` where ``sequences`` is the tuple of
+    Returns ``(sequences, masks)`` where ``sequences`` is the tuple of
     per-stream ``(kernel, chain)`` launch sequences (sorted by stream id)
-    and ``closure[j]`` is the frozenset of launch *ordinals* that happen
-    before launch ordinal ``j``.  Ordinals index launches in issue order,
-    so the certificate is invariant under inserting/removing non-launch
-    ops — exactly the moves elision makes.
+    and bit ``k`` of ``masks[j]`` is set iff launch ordinal ``k`` happens
+    before launch ordinal ``j`` (:class:`HBIndex`).  Ordinals index
+    launches in issue order, so the certificate is invariant under
+    inserting/removing non-launch ops — exactly the moves elision makes.
+    Read off ``index`` when given, else folded from scratch.
     """
-    hb = happens_before(list(ops))
-    launch_idx = [i for i, op in enumerate(ops) if isinstance(op, Launch)]
-    ordinal = {i: j for j, i in enumerate(launch_idx)}
-    closure = tuple(
-        frozenset(ordinal[p] for p in launch_idx if (hb[i] >> p) & 1)
-        for i in launch_idx)
+    index = index or HBIndex.build(ops)
     by_stream: dict[int, list[tuple[str, int]]] = {}
-    for i in launch_idx:
-        op = ops[i]
-        by_stream.setdefault(op.stream, []).append((op.kernel, op.chain))
+    for op in ops:
+        if isinstance(op, Launch):
+            by_stream.setdefault(op.stream, []).append((op.kernel, op.chain))
     sequences = tuple((s, tuple(by_stream[s])) for s in sorted(by_stream))
-    return sequences, closure
+    return sequences, tuple(m for m, b in zip(index.masks, index.bits) if b)
+
+
+def launch_closure(ops: Sequence[DispatchOp]) -> tuple:
+    """:func:`launch_certificate` with each mask spelled as a set.
+
+    ``closure[j]`` is the frozenset of launch ordinals that happen before
+    launch ordinal ``j``.
+    """
+    sequences, masks = launch_certificate(ops)
+    return sequences, tuple(frozenset(_ordinals(m)) for m in masks)
+
+
+def _ordinals(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -119,68 +137,119 @@ class ElisionResult:
         }
 
 
-def minimize(program: DispatchProgram) -> ElisionResult:
+class _Elider:
+    """Greedy elision over one program's launch-projected hb masks.
+
+    ``masks`` holds :attr:`HBIndex.masks` of the current (partly elided)
+    program at each op's *original* index; ``order`` lists the surviving
+    ops.  Deleting op ``order[k]`` can only change ops issued after it,
+    so a candidate is checked by re-sweeping from there with the
+    stream-tail, barrier and record state saved just before it, and
+    rejected at the first launch whose mask differs.  An accepted
+    removal commits the re-swept masks, so every launch keeps its
+    original mask throughout.
+    """
+
+    def __init__(self, ops: Sequence[DispatchOp], index: HBIndex) -> None:
+        self.ops = ops
+        self.masks = list(index.masks)
+        self.bits = index.bits
+        self.order = list(range(len(ops)))
+
+    def sweep(self, candidate: Callable[[int, DispatchOp], bool]
+              ) -> list[int]:
+        """Remove, in issue order, each candidate the closure allows."""
+        ops, order = self.ops, self.order
+        state = HBState()
+        removed: list[int] = []
+        k = 0
+        while k < len(order):
+            i = order[k]
+            if candidate(i, ops[i]):
+                trial = self._without(k, state)
+                if trial is not None:
+                    self.masks = trial
+                    del order[k]
+                    removed.append(i)
+                    continue
+            state.step(i, ops[i])
+            k += 1
+        return removed
+
+    def _without(self, k: int, state: HBState) -> Optional[list[int]]:
+        """Masks with ``order[k]`` deleted, or None if a launch changes."""
+        ops, bits, masks = self.ops, self.bits, self.masks
+        trial = masks[:]
+        state = state.copy()
+        for i in self.order[k + 1:]:
+            mask = 0
+            for p in state.step(i, ops[i]):
+                mask |= trial[p] | bits[p]
+            if bits[i] and mask != masks[i]:
+                return None
+            trial[i] = mask
+        return trial
+
+
+def minimize(program: DispatchProgram,
+             index: Optional[HBIndex] = None,
+             deadlocks: Optional[DeadlockVerdict] = None) -> ElisionResult:
     """Transitive-reduction sync elision over one program.
 
     Greedily deletes each event wait whose removal provably leaves the
     launch closure unchanged, then drops records no remaining wait binds
     to.  Refuses deadlocked inputs: a mis-ordered record/wait pair has no
     well-defined intended closure to preserve.
+
+    ``index`` is the program's happens-before index and ``deadlocks`` its
+    deadlock verdict when the caller already has them; a verdict with no
+    findings, suppressed or not, stands in for re-running the detector.
     """
-    from repro.analyze.deadlock import detect_deadlocks
-    blockers = detect_deadlocks(program)
-    if blockers:
-        raise AnalyzeError(
-            f"refusing to minimize {program.name!r}: "
-            f"{len(blockers)} deadlock finding(s) — fix "
-            f"{blockers[0].rule} at op {blockers[0].wait_index} first")
+    if deadlocks is None or deadlocks.findings or deadlocks.suppressed:
+        blockers = detect_deadlocks(program)
+        if blockers:
+            raise AnalyzeError(
+                f"refusing to minimize {program.name!r}: "
+                f"{len(blockers)} deadlock finding(s) — fix "
+                f"{blockers[0].rule} at op {blockers[0].wait_index} first")
 
-    base = launch_closure(program.ops)
-    # Track ops by identity so indices stay meaningful as we delete.
-    kept: list[tuple[int, DispatchOp]] = list(enumerate(program.ops))
-    removed: list[ElidedOp] = []
-    waits_checked = 0
-
-    def closure_of(items: list[tuple[int, DispatchOp]]) -> tuple:
-        return launch_closure([op for _, op in items])
-
-    for orig_idx, op in list(kept):
-        if not isinstance(op, WaitEvent):
-            continue
-        waits_checked += 1
-        candidate = [(i, o) for i, o in kept if i != orig_idx]
-        if closure_of(candidate) == base:
-            kept = candidate
-            removed.append(ElidedOp(
-                op_index=orig_idx, kind="wait", stream=op.stream,
-                event=op.event, reason="implied-by-happens-before"))
+    ops = program.ops
+    index = index or HBIndex.build(ops)
+    elider = _Elider(ops, index)
+    waits = elider.sweep(lambda i, op: isinstance(op, WaitEvent))
+    removed = [ElidedOp(op_index=i, kind="wait", stream=ops[i].stream,
+                        event=ops[i].event,
+                        reason="implied-by-happens-before")
+               for i in waits]
 
     # Orphaned records: no surviving wait binds to them.  Binding is
-    # latest-record-before-wait, so walk the kept list in order.
+    # latest-record-before-wait, so walk the surviving ops in order.
     bound: set[int] = set()
     latest: dict[int, int] = {}
-    for orig_idx, op in kept:
+    for i in elider.order:
+        op = ops[i]
         if isinstance(op, RecordEvent):
-            latest[op.event] = orig_idx
+            latest[op.event] = i
         elif isinstance(op, WaitEvent) and op.event in latest:
             bound.add(latest[op.event])
-    for orig_idx, op in list(kept):
-        if isinstance(op, RecordEvent) and orig_idx not in bound:
-            candidate = [(i, o) for i, o in kept if i != orig_idx]
-            if closure_of(candidate) == base:
-                kept = candidate
-                removed.append(ElidedOp(
-                    op_index=orig_idx, kind="record", stream=op.stream,
-                    event=op.event, reason="orphaned-record"))
+    records = elider.sweep(
+        lambda i, op: isinstance(op, RecordEvent) and i not in bound)
+    removed += [ElidedOp(op_index=i, kind="record", stream=ops[i].stream,
+                         event=ops[i].event, reason="orphaned-record")
+                for i in records]
 
     minimized = DispatchProgram(
         name=f"{program.name}+min",
-        ops=[op for _, op in kept],
+        ops=[ops[i] for i in elider.order],
         allowed=set(program.allowed))
     removed.sort(key=lambda r: r.op_index)
     result = ElisionResult(original=program, minimized=minimized,
-                           removed=removed, waits_checked=waits_checked)
-    result.equivalent = launch_closure(minimized.ops) == base
+                           removed=removed,
+                           waits_checked=sum(isinstance(op, WaitEvent)
+                                             for op in ops))
+    # The minimized program is folded afresh, not read off the elider.
+    result.equivalent = (launch_certificate(minimized.ops)
+                         == launch_certificate(ops, index))
     return result
 
 
@@ -190,10 +259,13 @@ def assert_equivalent(result: ElisionResult) -> None:
     Checks (1) launch sequences and happens-before closure are
     bit-identical, (2) no launch was touched, and (3) the race detector
     returns the same hazard set on the minimized program — a minimized
-    program of a certified plan stays certified.
+    program of a certified plan stays certified.  Both programs are
+    folded afresh here; nothing is read off the search's index.
     """
     orig, mini = result.original, result.minimized
-    if launch_closure(orig.ops) != launch_closure(mini.ops):
+    index_o, index_m = HBIndex.build(orig.ops), HBIndex.build(mini.ops)
+    if (launch_certificate(orig.ops, index_o)
+            != launch_certificate(mini.ops, index_m)):
         raise AnalyzeError(
             f"elision broke the launch closure of {orig.name!r}")
     launches_o = [(op.kernel, op.stream, op.chain)
@@ -203,18 +275,23 @@ def assert_equivalent(result: ElisionResult) -> None:
     if launches_o != launches_m:
         raise AnalyzeError(
             f"elision touched a launch of {orig.name!r}")
-    haz_o = [(h.kind, h.first_index, h.second_index)
-             for h in detect(orig)]
-    haz_m_raw = detect(mini)
-    if len(haz_m_raw) != len(haz_o):
+    haz_o, haz_m = len(detect(orig, index_o)), len(detect(mini, index_m))
+    if haz_o != haz_m:
         raise AnalyzeError(
             f"elision changed the hazard verdict of {orig.name!r}: "
-            f"{len(haz_o)} -> {len(haz_m_raw)} hazard(s)")
+            f"{haz_o} -> {haz_m} hazard(s)")
 
 
-def certified_minimize(program: DispatchProgram) -> ElisionResult:
-    """Minimize and certify; the only entry point producers should use."""
-    result = minimize(program)
+def certified_minimize(program: DispatchProgram,
+                       index: Optional[HBIndex] = None,
+                       deadlocks: Optional[DeadlockVerdict] = None
+                       ) -> ElisionResult:
+    """Minimize and certify; the only entry point producers should use.
+
+    ``index`` and ``deadlocks`` only speed up the search
+    (:func:`minimize`); the certificate is always computed from scratch.
+    """
+    result = minimize(program, index, deadlocks)
     assert_equivalent(result)
     return result
 

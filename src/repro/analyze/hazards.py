@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.analyze.plans import PLAN_KINDS, ZOO_NETWORKS, build_programs
-from repro.analyze.program import DispatchProgram, Launch, happens_before
+from repro.analyze.program import DispatchProgram, HBIndex, Launch
 
 #: Cap on shared regions listed per hazard witness (full set in counts).
 _MAX_REGIONS = 6
@@ -70,14 +70,18 @@ class Hazard:
         }
 
 
-def detect(program: DispatchProgram) -> list[Hazard]:
+def detect(program: DispatchProgram,
+           index: Optional[HBIndex] = None) -> list[Hazard]:
     """All RAW/WAR/WAW pairs of ``program`` not ordered by happens-before.
 
     Hazards are deduplicated per (kernel pair, kind): a pair racing on
     many per-sample regions is one witness listing the shared buffers.
+    ``index`` is the program's happens-before index when the caller
+    already built it; otherwise it is built here.
     """
     ops = program.ops
-    hb = happens_before(ops)
+    index = index or HBIndex.build(ops)
+    hb, bit = index.masks, index.bits
     by_region: dict[str, list[tuple[int, bool]]] = {}
     for i, op in enumerate(ops):
         if not isinstance(op, Launch):
@@ -98,7 +102,7 @@ def detect(program: DispatchProgram) -> list[Hazard]:
                 ib, wb = accs[b]
                 if ia == ib or not (wa or wb):
                     continue
-                if ((hb[ib] >> ia) & 1) or ((hb[ia] >> ib) & 1):
+                if hb[ib] & bit[ia] or hb[ia] & bit[ib]:
                     continue
                 kind = "WAW" if (wa and wb) else ("RAW" if wa else "WAR")
                 pairs.setdefault((ia, ib, kind), []).append(region)
@@ -209,16 +213,18 @@ class HazardReport:
 
 
 def verdict_for(program: DispatchProgram, network: str = "",
-                plan: str = "") -> ProgramVerdict:
+                plan: str = "",
+                index: Optional[HBIndex] = None) -> ProgramVerdict:
     """Run the detector over one program and wrap the result.
 
     Hazards whose rule id (``hazard/<kind>``) is in the program's
     suppression set (:meth:`DispatchProgram.allow`) are dropped from the
-    verdict but counted in ``suppressed``.
+    verdict but counted in ``suppressed``.  ``index`` is passed through
+    to :func:`detect`.
     """
     kept: list[Hazard] = []
     suppressed = 0
-    for h in detect(program):
+    for h in detect(program, index):
         if program.is_allowed(f"hazard/{h.kind}"):
             suppressed += 1
         else:

@@ -15,14 +15,16 @@ runtime plan describes *exactly* the dependency edges the engine will wire
 * a wait on a recorded event orders the waiting stream after the record.
 
 :func:`happens_before` folds those rules into a transitive-reachability
-bitmask per op, which :mod:`repro.analyze.hazards` then intersects with
-the per-region access sets to find unordered conflicting pairs.
+bitmask per op.  :class:`HBIndex` is the same fold projected onto
+launches, built once per program: :mod:`repro.analyze.hazards`
+intersects it with the per-region access sets to find unordered
+conflicting pairs, and the capacity and sync-elision passes read it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 #: Stream id of the legacy default stream inside a program (barrier
 #: semantics).  Pool/thread streams use ids >= 1.
@@ -145,54 +147,121 @@ class DispatchProgram:
         return iter(self.ops)
 
 
-def happens_before(ops: list[DispatchOp]) -> list[int]:
-    """Transitive happens-before reachability, one bitmask per op.
+class HBState:
+    """The tail/barrier/record state machine behind happens-before.
 
-    Bit ``j`` of ``hb[i]`` is set iff op ``j`` happens before op ``i``
-    under stream-FIFO order, default-stream barrier semantics, host
-    ``synchronize`` joins, and event record→wait edges.  The fold mirrors
-    the engine's dependency wiring exactly: each op's direct predecessors
-    are computed from the same tail/barrier state machine, and its mask is
-    the union of the predecessors' masks plus the predecessors themselves.
-
-    An event that was never recorded gates nothing (CUDA semantics); a
-    re-recorded event binds each wait to the latest record issued before
-    the wait.
+    :meth:`step` returns an op's direct predecessors under stream-FIFO
+    order, default-stream barrier semantics, host ``synchronize`` joins
+    and event record→wait edges, then advances the state past the op.
+    The fold mirrors the engine's dependency wiring exactly.  An event
+    that was never recorded gates nothing (CUDA semantics); a
+    re-recorded event binds each wait to the latest record issued
+    before the wait.
     """
-    hb: list[int] = []
-    tails: dict[int, int] = {}      # stream id -> index of its tail op
-    barrier: int | None = None      # last default-stream barrier op
-    records: dict[int, int] = {}    # event id -> index of latest record
-    for i, op in enumerate(ops):
-        preds: set[int] = set()
+
+    __slots__ = ("tails", "barrier", "records")
+
+    def __init__(self) -> None:
+        self.tails: dict[int, int] = {}     # stream id -> its tail op
+        self.barrier: int | None = None     # last default-stream barrier
+        self.records: dict[int, int] = {}   # event id -> latest record
+
+    def copy(self) -> "HBState":
+        other = HBState()
+        other.tails = dict(self.tails)
+        other.barrier = self.barrier
+        other.records = dict(self.records)
+        return other
+
+    def step(self, i: int, op: DispatchOp) -> list[int]:
+        """Direct predecessors of op ``i``; advances the state past it."""
         if isinstance(op, SyncAll):
             # The host joins every stream; model the sync as a new
             # default-stream barrier so later ops on any stream order
             # after everything before it.
-            preds.update(tails.values())
-            barrier = i
-            tails[DEFAULT_STREAM] = i
+            preds = list(self.tails.values())
+            self.barrier = i
+            self.tails[DEFAULT_STREAM] = i
+            return preds
+        stream = op.stream
+        if stream == DEFAULT_STREAM:
+            # Legacy default stream: barrier against every tail.
+            preds = list(self.tails.values())
+            self.barrier = i
         else:
-            stream = op.stream
-            if stream == DEFAULT_STREAM:
-                # Legacy default stream: barrier against every tail.
-                preds.update(tails.values())
-                barrier = i
-            else:
-                if stream in tails:
-                    preds.add(tails[stream])
-                if barrier is not None:
-                    preds.add(barrier)
-                if isinstance(op, WaitEvent) and op.event in records:
-                    preds.add(records[op.event])
-            tails[stream] = i
-            if isinstance(op, RecordEvent):
-                records[op.event] = i
+            preds = []
+            tail = self.tails.get(stream)
+            if tail is not None:
+                preds.append(tail)
+            if self.barrier is not None:
+                preds.append(self.barrier)
+            if isinstance(op, WaitEvent):
+                rec = self.records.get(op.event)
+                if rec is not None:
+                    preds.append(rec)
+        self.tails[stream] = i
+        if isinstance(op, RecordEvent):
+            self.records[op.event] = i
+        return preds
+
+
+def happens_before(ops: list[DispatchOp]) -> list[int]:
+    """Transitive happens-before reachability, one bitmask per op.
+
+    Bit ``j`` of ``hb[i]`` is set iff op ``j`` happens before op ``i``
+    (see :class:`HBState` for the rules).  Each op's mask is the union
+    of its direct predecessors' masks plus the predecessors themselves.
+    """
+    state = HBState()
+    hb: list[int] = []
+    for i, op in enumerate(ops):
         mask = 0
-        for p in preds:
+        for p in state.step(i, op):
             mask |= hb[p] | (1 << p)
         hb.append(mask)
     return hb
+
+
+@dataclass(frozen=True)
+class HBIndex:
+    """Happens-before projected onto launches, built once per program.
+
+    Launches are keyed by *ordinal* (issue-order rank among launches),
+    which inserting or deleting non-launch ops never changes.  ``bits[i]``
+    is ``1 << ordinal`` for a launch and 0 otherwise; ``masks[i]`` has
+    the bits of every launch that happens before op ``i``; ``preds[i]``
+    lists op ``i``'s direct predecessors.  The projection commutes with
+    the union in :func:`happens_before`, so ``masks[i]`` is the OR over
+    predecessors ``p`` of ``masks[p] | bits[p]``: one sweep, no full
+    relation.  Only launches carry memory effects or occupy the device,
+    so hazard detection, the capacity check and sync-elision all read
+    this one index (:func:`repro.interop.certify.certify` builds it once).
+    """
+
+    masks: list[int]
+    bits: list[int]
+    preds: list[list[int]]
+
+    @classmethod
+    def build(cls, ops: Sequence[DispatchOp]) -> "HBIndex":
+        state = HBState()
+        masks: list[int] = []
+        bits: list[int] = []
+        preds: list[list[int]] = []
+        launches = 0
+        for i, op in enumerate(ops):
+            direct = state.step(i, op)
+            mask = 0
+            for p in direct:
+                mask |= masks[p] | bits[p]
+            masks.append(mask)
+            preds.append(direct)
+            if isinstance(op, Launch):
+                bits.append(1 << launches)
+                launches += 1
+            else:
+                bits.append(0)
+        return cls(masks=masks, bits=bits, preds=preds)
 
 
 def ordered(hb: list[int], a: int, b: int) -> bool:

@@ -44,7 +44,7 @@ from repro.analyze.capacity import CapacityFinding, check_capacity
 from repro.analyze.deadlock import DeadlockVerdict, deadlock_verdict_for
 from repro.analyze.elide import ElisionResult, certified_minimize
 from repro.analyze.hazards import ProgramVerdict, verdict_for
-from repro.analyze.program import DispatchProgram
+from repro.analyze.program import DispatchProgram, HBIndex
 from repro.errors import AnalyzeError
 from repro.interop.planner import StreamPlan, build_plan
 from repro.runtime.graph import KernelGraph
@@ -165,6 +165,11 @@ def certify(graph: KernelGraph, plan: StreamPlan,
     (:func:`repro.interop.resources.estimate_graph`) are supplied,
     through the static over-subscription check, whose warnings land in
     ``Certification.capacity`` without blocking the plan.
+
+    Each candidate's happens-before index
+    (:class:`~repro.analyze.program.HBIndex`) is built once and read by
+    the race detector, sync-elision and the capacity check; elision
+    reuses the clean deadlock verdict instead of re-running the check.
     """
     effects = effects or structural_effects(graph)
     verdicts: list[ProgramVerdict] = []
@@ -179,7 +184,9 @@ def certify(graph: KernelGraph, plan: StreamPlan,
     rejected_hazards = 0
     for cand, poisoned in candidates:
         prog = plan_program(graph, cand, effects, drop_waits=poisoned)
-        verdict = verdict_for(prog, network=graph.name, plan=cand.policy)
+        index = HBIndex.build(prog.ops)
+        verdict = verdict_for(prog, network=graph.name, plan=cand.policy,
+                              index=index)
         verdicts.append(verdict)
         dl = deadlock_verdict_for(prog, network=graph.name,
                                   plan=cand.policy)
@@ -191,12 +198,14 @@ def certify(graph: KernelGraph, plan: StreamPlan,
             elision: Optional[ElisionResult] = None
             if minimize:
                 try:
-                    elision = certified_minimize(prog)
+                    elision = certified_minimize(prog, index=index,
+                                                 deadlocks=dl)
                 except AnalyzeError:
                     elision = None   # optimization only, never a gate
             fills = ({nid: e.fill for nid, e in estimates.items()}
                      if estimates else None)
-            capacity = check_capacity(prog, fills=fills, device=device)
+            capacity = check_capacity(prog, fills=fills, device=device,
+                                      index=index)
             return Certification(plan=cand, program=prog,
                                  verdicts=verdicts, deadlocks=deadlocks,
                                  elision=elision, capacity=capacity)

@@ -199,6 +199,7 @@ class ServingEngine:
         self.failed_batches = 0
         self._warmed = False
         self._base_us = 0.0
+        self._degraded_base = 0
 
     # ------------------------------------------------------------------
     def warm_up(self) -> None:
@@ -234,9 +235,21 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     def serve(self, trace: ArrivalTrace) -> ServingReport:
-        """Run the whole trace to completion and return the report."""
+        """Run the whole trace to completion and return the report.
+
+        The report covers this call alone: request records, batch
+        counts, failed batches, degraded layer runs (including those of
+        a warmup this call triggers) and the queue high-water mark start
+        from zero every time.  The lowering cache, the profiles and the
+        service-time estimate carry over, as warm serving state should.
+        """
+        self._degraded_base = self.degraded_layer_runs()
         if self.warmup:
             self.warm_up()
+        self.slo = SLOTracker()
+        self.batcher.batches_formed = self.batcher.requests_batched = 0
+        self.queue.high_water = 0
+        self.failed_batches = 0
         base = self._base_us = self.gpu.host_time
         pending = deque(trace.requests)
         while pending or len(self.queue):
@@ -353,7 +366,8 @@ class ServingEngine:
             batches=batches,
             mean_batch=mean_batch,
             lowerings=self.cache.lowerings,
-            degraded_layers=self.degraded_layer_runs(),
+            degraded_layers=(self.degraded_layer_runs()
+                             - self._degraded_base),
             makespan_us=self.gpu.host_time - self._base_us,
             latency_mean_us=summary.get("latency_mean_us"),
             latency_p50_us=summary.get("latency_p50_us"),

@@ -9,11 +9,12 @@ and the refusal on deadlocked input.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analyze.elide import (certified_minimize, launch_closure,
                                  minimize)
-from repro.analyze.program import (DispatchProgram, RecordEvent,
-                                   WaitEvent)
+from repro.analyze.program import (DispatchProgram, Launch, RecordEvent,
+                                   WaitEvent, happens_before)
 from repro.errors import AnalyzeError
 
 
@@ -92,6 +93,21 @@ def test_refuses_deadlocked_input():
         minimize(prog)
 
 
+def test_unclean_deadlock_verdict_does_not_bypass_the_refusal():
+    from repro.analyze.deadlock import deadlock_verdict_for
+    prog = DispatchProgram("dirty")
+    prog.launch("a", stream=1, writes={"a"}, chain=0)
+    prog.wait(event=7, stream=1)
+    prog.record(event=7, stream=1)
+    with pytest.raises(AnalyzeError, match="refusing to minimize"):
+        minimize(prog, deadlocks=deadlock_verdict_for(prog))
+    prog.allow("*")                     # suppressed is still deadlocked
+    verdict = deadlock_verdict_for(prog)
+    assert verdict.ok and verdict.suppressed
+    with pytest.raises(AnalyzeError, match="refusing to minimize"):
+        minimize(prog, deadlocks=verdict)
+
+
 def test_suppression_set_carries_over_to_minimized_program():
     prog = _producer_consumer()
     prog.allow("hazard/WAW")
@@ -112,3 +128,158 @@ def test_elision_result_counts_round_trip():
     assert d["ops_before"] == d["ops_after"] + 1
     assert d["equivalent"] is True
     assert d["removed"][0]["kind"] == "wait"
+
+
+# ----------------------------------------------------------------------
+# Differential: the incremental elider against the closure-recompute
+# greedy loop it replaced, kept here as the reference oracle.
+# ----------------------------------------------------------------------
+
+def _oracle_closure(ops) -> tuple:
+    """Launch sequences + full happens-before projected onto ordinals."""
+    hb = happens_before(list(ops))
+    launch_idx = [i for i, op in enumerate(ops) if isinstance(op, Launch)]
+    ordinal = {i: j for j, i in enumerate(launch_idx)}
+    closure = tuple(
+        frozenset(ordinal[p] for p in launch_idx if (hb[i] >> p) & 1)
+        for i in launch_idx)
+    by_stream: dict = {}
+    for i in launch_idx:
+        op = ops[i]
+        by_stream.setdefault(op.stream, []).append((op.kernel, op.chain))
+    return tuple((s, tuple(by_stream[s])) for s in sorted(by_stream)), closure
+
+
+def _oracle_minimize(program: DispatchProgram):
+    """Greedy elision recomputing the whole closure per candidate.
+
+    Returns ``(removed, kept_ops)`` with ``removed`` as sorted
+    ``(op_index, kind)`` pairs.
+    """
+    base = _oracle_closure(program.ops)
+    kept = list(enumerate(program.ops))
+    removed = []
+
+    def without(idx):
+        return [(i, o) for i, o in kept if i != idx]
+
+    for idx, op in list(kept):
+        if isinstance(op, WaitEvent):
+            candidate = without(idx)
+            if _oracle_closure([o for _, o in candidate]) == base:
+                kept = candidate
+                removed.append((idx, "wait"))
+    bound, latest = set(), {}
+    for idx, op in kept:
+        if isinstance(op, RecordEvent):
+            latest[op.event] = idx
+        elif isinstance(op, WaitEvent) and op.event in latest:
+            bound.add(latest[op.event])
+    for idx, op in list(kept):
+        if isinstance(op, RecordEvent) and idx not in bound:
+            candidate = without(idx)
+            if _oracle_closure([o for _, o in candidate]) == base:
+                kept = candidate
+                removed.append((idx, "record"))
+    return sorted(removed), [o for _, o in kept]
+
+
+def _assert_matches_oracle(program: DispatchProgram) -> int:
+    result = minimize(program)
+    removed, kept = _oracle_minimize(program)
+    assert [(r.op_index, r.kind) for r in result.removed] == removed
+    assert result.minimized.ops == kept
+    assert result.waits_checked == sum(isinstance(op, WaitEvent)
+                                       for op in program.ops)
+    assert result.equivalent
+    return len(removed)
+
+
+@st.composite
+def _programs(draw):
+    """Well-formed programs: every non-default-stream wait binds to an
+    earlier record.  Events are re-recorded, the default stream mixes
+    barrier launches, records and waits in (a default-stream wait on a
+    never-recorded event gates nothing but is legal), and host
+    synchronizes join everything."""
+    prog = DispatchProgram("random")
+    recorded: list[int] = []
+    streams = st.sampled_from((0,) + (1, 2, 3) * 6)
+    kinds = st.sampled_from(
+        ("launch",) * 12 + ("record",) * 6 + ("wait",) * 8 + ("sync",))
+    for k in range(draw(st.integers(1, 64))):
+        kind, stream = draw(kinds), draw(streams)
+        if kind == "launch":
+            prog.launch(f"k{k}", stream=stream, chain=k)
+        elif kind == "record":
+            event = draw(st.integers(0, 7))
+            prog.record(event=event, stream=stream)
+            recorded.append(event)
+        elif kind == "wait" and stream == 0:
+            prog.wait(event=draw(st.integers(0, 9)), stream=0)
+        elif kind == "wait" and recorded:
+            prog.wait(event=draw(st.sampled_from(recorded)), stream=stream)
+        else:
+            prog.sync()
+    return prog
+
+
+def _from_shorthand(text: str) -> DispatchProgram:
+    """``L<s>`` launch, ``R<e>@<s>`` record, ``W<e>@<s>`` wait, ``S`` sync."""
+    prog = DispatchProgram(text)
+    for k, tok in enumerate(text.split()):
+        if tok == "S":
+            prog.sync()
+        elif tok[0] == "L":
+            prog.launch(f"k{k}", stream=int(tok[1:]), chain=k)
+        else:
+            event, stream = map(int, tok[1:].split("@"))
+            (prog.record if tok[0] == "R" else prog.wait)(event, stream)
+    return prog
+
+
+@pytest.mark.parametrize("text, removed", [
+    # An accepted removal changes the masks of later non-launch ops; a
+    # later candidate must see the updated masks, or the second barrier
+    # looks redundant too.
+    ("L2 W0@0 R0@1 W0@0 L1", [(1, "wait")]),
+    # A rejected candidate must leave the masks it re-swept untouched.
+    ("L1 R0@1 R0@1 L1 L1 L1 L1 W0@2 R0@2 W0@1 L2",
+     [(1, "record"), (8, "record"), (9, "wait")]),
+])
+def test_elider_matches_oracle_on_known_shapes(text, removed):
+    program = _from_shorthand(text)
+    assert _oracle_minimize(program)[0] == removed
+    _assert_matches_oracle(program)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs())
+def test_incremental_elider_matches_closure_recompute_oracle(program):
+    _assert_matches_oracle(program)
+
+
+def test_elider_matches_oracle_on_every_inception_plan():
+    from repro.interop.certify import plan_program, structural_effects
+    from repro.interop.planner import PLAN_POLICIES, build_plan
+    from repro.interop.resources import estimate_graph, suggest_pool_size
+    from repro.interop.workloads import inception_unit
+    from repro.serve.engine import resolve_device
+
+    props = resolve_device("p100")
+    plans = removed = 0
+    for unit in ("5a", "5b"):
+        for batch in (1, 2, 4, 8, 16):
+            workload = inception_unit(unit, batch)
+            graph = workload.graph
+            estimates = estimate_graph(graph, props)
+            effects = structural_effects(graph, in_place=workload.in_place)
+            streams = suggest_pool_size(graph, props)
+            for policy in PLAN_POLICIES:
+                plan = build_plan(graph, policy, streams, device=props,
+                                  estimates=estimates)
+                removed += _assert_matches_oracle(
+                    plan_program(graph, plan, effects))
+                plans += 1
+    assert plans == 40
+    assert removed > 0   # the comparison exercised real removals

@@ -84,6 +84,49 @@ class TestCertifyClean:
         assert cert.plan.certified and not cert.fell_back
 
 
+class TestSharedAnalysis:
+    def test_deadlock_check_runs_once_per_candidate(self, unit, effects,
+                                                    monkeypatch):
+        import repro.analyze.deadlock as deadlock
+        calls = []
+        real = deadlock.detect_deadlocks
+
+        def counting(program):
+            calls.append(program.name)
+            return real(program)
+
+        monkeypatch.setattr(deadlock, "detect_deadlocks", counting)
+        plan = build_plan(unit.graph, "round-robin", 4, device=P100)
+        cert = certify(unit.graph, plan, effects=effects, device=P100)
+        assert cert.waits_removed > 0           # elision really ran
+        assert calls == [cert.program.name]     # the verdict was reused
+
+    def test_shared_index_gives_the_standalone_verdicts(self):
+        from repro.analyze.capacity import check_capacity
+        from repro.analyze.elide import certified_minimize
+        from repro.interop.resources import estimate_graph, suggest_pool_size
+        wl = inception_unit("5b", batch=8)
+        estimates = estimate_graph(wl.graph, P100)
+        fills = {nid: e.fill for nid, e in estimates.items()}
+        streams = suggest_pool_size(wl.graph, P100)
+        removed = findings = 0
+        for policy in ("round-robin", "opara"):
+            plan = build_plan(wl.graph, policy, streams, device=P100,
+                              estimates=estimates)
+            cert = certify(wl.graph, plan, device=P100,
+                           effects=structural_effects(
+                               wl.graph, in_place=wl.in_place),
+                           estimates=estimates)
+            alone = certified_minimize(cert.program)
+            assert cert.elision.removed == alone.removed
+            assert cert.elision.minimized.ops == alone.minimized.ops
+            assert cert.capacity == check_capacity(
+                cert.program, fills=fills, device=P100)
+            removed += len(alone.removed)
+            findings += len(cert.capacity)
+        assert removed and findings      # both passes had work to do
+
+
 class TestFallbackLadder:
     def test_poisoned_plan_falls_back_to_chain_affine(self, unit, effects):
         plan = build_plan(unit.graph, "opara", 4, device=P100)

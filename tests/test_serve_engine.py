@@ -7,6 +7,7 @@ from repro.faults import FaultPlan, FaultSpec, chaos_session
 from repro.gpusim import GPU
 from repro.runtime.executor import GLP4NNExecutor, NaiveExecutor
 from repro.serve import (
+    ArrivalTrace,
     ServingEngine,
     make_executor,
     poisson_trace,
@@ -67,6 +68,32 @@ class TestServingEngine:
                                    + report.shed_admission + report.failed)
         rids = sorted(r.rid for r in engine.slo.records)
         assert rids == [r.rid for r in trace]
+
+    def test_each_serve_call_reports_only_its_own_trace(self):
+        engine = lenet_engine(queue_capacity=256)
+        reports = []
+        for n, seed in ((98, 1), (80, 2)):
+            trace = small_trace(rps=20_000.0, duration_us=20_000.0,
+                                slo_us=50_000.0, seed=seed)
+            trace = ArrivalTrace(trace.requests[:n], kind=trace.kind,
+                                 rps=trace.rps,
+                                 duration_us=trace.duration_us,
+                                 seed=trace.seed)
+            assert len(trace) == n
+            reports.append(engine.serve(trace))
+            assert sorted(r.rid for r in engine.slo.records) == \
+                [r.rid for r in trace]
+        assert [r.requests for r in reports] == [98, 80]
+        for report in reports:
+            assert report.requests == (report.ok + report.late
+                                       + report.shed_queue
+                                       + report.shed_admission
+                                       + report.failed)
+            assert report.batches <= report.requests
+            assert report.extra["queue_high_water"] <= report.requests
+        assert reports[1].mean_batch * reports[1].batches == \
+            pytest.approx(80 - reports[1].shed_queue
+                          - reports[1].shed_admission)
 
     def test_no_wall_clock_no_failures_on_clean_run(self):
         report = lenet_engine().serve(small_trace())
@@ -140,3 +167,5 @@ class TestServingUnderFaults:
         assert report.failed == 0
         assert report.ok + report.late == report.requests > 0
         assert report.degraded_layers > 0
+        # A clean trace afterwards does not inherit the degraded runs.
+        assert engine.serve(trace).degraded_layers == 0

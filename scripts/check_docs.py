@@ -18,7 +18,11 @@ Scans every tracked markdown file (top level + ``docs/``) and verifies:
   keeps working in the docs CI job where nothing is installed;
 * **bench target references** — every ``python -m repro bench <target>``
   invocation must name a target in ``cli.py``'s ``BENCH_TARGETS`` tuple
-  (scraped the same import-free way).
+  (scraped the same import-free way);
+* **experiment descriptions** — every experiment that
+  ``python -m repro experiments`` lists must have a run function whose
+  docstring has a non-blank first line (read with :mod:`ast` from the
+  registry in ``cli.py`` and the bench modules, again without importing).
 
 Exits non-zero listing every failure, so CI catches docs drifting away
 from the code (renamed modules, moved pages, deleted examples).
@@ -30,6 +34,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
@@ -143,6 +148,59 @@ def check_bench_refs(path: pathlib.Path, text: str, root: pathlib.Path,
     return problems
 
 
+def _function_doc(path: pathlib.Path, name: str) -> str | None:
+    """Docstring of top-level function ``name`` in ``path``; None if absent."""
+    try:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+    except (OSError, SyntaxError):
+        return None
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return ast.get_docstring(node) or ""
+    return None
+
+
+def check_experiment_docs(root: pathlib.Path) -> list[str]:
+    """Experiments whose run function has no one-line description.
+
+    ``cli.py``'s ``_experiment_registry`` imports each run function from
+    its bench module and maps an experiment id to it; the listing prints
+    the first line of that function's docstring.
+    """
+    cli = root / "src" / "repro" / "cli.py"
+    try:
+        tree = ast.parse(cli.read_text(encoding="utf-8"))
+    except (OSError, SyntaxError):
+        return []
+    registry = next((n for n in tree.body if isinstance(n, ast.FunctionDef)
+                     and n.name == "_experiment_registry"), None)
+    if registry is None:       # no experiment listing in this checkout
+        return []
+    modules = {alias.asname or alias.name: node.module
+               for node in ast.walk(registry)
+               if isinstance(node, ast.ImportFrom) and node.module
+               for alias in node.names}
+    problems = []
+    for ret in ast.walk(registry):
+        if not (isinstance(ret, ast.Return)
+                and isinstance(ret.value, ast.Dict)):
+            continue
+        for key, value in zip(ret.value.keys, ret.value.values):
+            if not (isinstance(key, ast.Constant)
+                    and isinstance(value, ast.Name)):
+                continue
+            module = modules.get(value.id, "")
+            path = (root / "src").joinpath(*module.split(".")
+                                           ).with_suffix(".py")
+            doc = _function_doc(path, value.id)
+            if not (doc or "").strip():
+                problems.append(
+                    f"src/repro/cli.py: experiment `{key.value}` has a "
+                    f"blank description ({value.id} has no docstring)"
+                )
+    return problems
+
+
 def check_cli_refs(path: pathlib.Path, text: str, root: pathlib.Path,
                    subcommands: frozenset[str]) -> list[str]:
     if not subcommands:        # no CLI in this repo checkout; nothing to do
@@ -208,6 +266,7 @@ def main(argv: list[str]) -> int:
         problems.extend(check_code_refs(path, strip_code_blocks(text), root))
         problems.extend(check_cli_refs(path, text, root, subcommands))
         problems.extend(check_bench_refs(path, text, root, bench_targets))
+    problems.extend(check_experiment_docs(root))
     if problems:
         print(f"{len(problems)} documentation problem(s):")
         for p in problems:

@@ -95,6 +95,7 @@ def _steady(ex, work) -> float:
 
 @cached("ablations")
 def run_ablations() -> ExperimentResult:
+    """Ablate the launch bound, the MILP analyzer and the policy."""
     rows = []
     for cfg in ABLATION_LAYERS:
         work = conv_forward_work(cfg)

@@ -33,6 +33,7 @@ def _steady(ex, work):
 
 @cached("analyzer_comparison")
 def run_analyzer_comparison() -> ExperimentResult:
+    """Occupancy MILP versus the time-predictive analyzer."""
     rows = []
     for cfg in LAYERS:
         work = conv_forward_work(cfg)

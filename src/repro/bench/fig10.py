@@ -22,6 +22,7 @@ from repro.runtime.lowering import lower_conv_forward
 
 @cached("fig10")
 def run_fig10() -> ExperimentResult:
+    """Memory GLP4NN's profiler uses per network and device."""
     rows = []
     for net in NETWORK_ORDER:
         for device in PAPER_DEVICES:

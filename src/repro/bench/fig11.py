@@ -43,6 +43,7 @@ def _train(executor_cls, shuffle_seed: int) -> list[float]:
 
 @cached("fig11")
 def run_fig11() -> ExperimentResult:
+    """Convergence invariance: CIFAR10 losses under Caffe and GLP4NN."""
     caffe = _train(NaiveExecutor, shuffle_seed=5)
     glp_same = _train(GLP4NNExecutor, shuffle_seed=5)
     glp_other = _train(GLP4NNExecutor, shuffle_seed=17)

@@ -24,6 +24,7 @@ DEVICE = "P100"
 
 @cached("fig2")
 def run_fig2() -> ExperimentResult:
+    """Speedup of CaffeNet's conv layers on P100 versus the stream count."""
     rows = []
     for cfg in CAFFENET_CONVS:
         work = conv_forward_work(cfg)

@@ -31,6 +31,7 @@ def _conv1_concurrency() -> int:
 
 @cached("fig3")
 def run_fig3() -> ExperimentResult:
+    """Multi-stream kernel timeline of the MNIST network's conv2 layer."""
     cfg = SIAMESE_CONVS[1]  # conv2 on MNIST-shaped input (see module doc)
     work = lower_conv_forward(cfg)
     gpu = GPU(get_device(DEVICE), record_timeline=True)

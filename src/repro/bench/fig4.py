@@ -22,6 +22,7 @@ SWEEP = (1, 2, 4, 8, 16, 32)
 
 @cached("fig4")
 def run_fig4() -> ExperimentResult:
+    """Best observed stream count per CaffeNet conv layer on each GPU."""
     rows = []
     best_by_device: dict[str, list[int]] = {}
     for cfg in CAFFENET_CONVS:

@@ -48,6 +48,7 @@ def iteration_time(ex: Executor, fwd: list[LayerWork],
 
 @cached("fig7")
 def run_fig7() -> ExperimentResult:
+    """Per-iteration speedup of GLP4NN over Caffe on four nets, three GPUs."""
     rows = []
     details: dict[str, dict[str, float]] = {}
     for name in NETWORK_ORDER:

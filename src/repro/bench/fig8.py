@@ -17,6 +17,7 @@ from repro.runtime.lowering import lower_conv_forward
 
 @cached("fig8")
 def run_fig8() -> ExperimentResult:
+    """Stream counts the analytical model chooses for every conv layer."""
     rows = []
     for net in NETWORK_ORDER:
         for cfg in TABLE5[net]:

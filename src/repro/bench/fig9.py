@@ -27,6 +27,7 @@ CASES = (
 
 @cached("fig9")
 def run_fig9() -> ExperimentResult:
+    """Per-layer time under Caffe and GLP4NN, loss cases included."""
     rows = []
     for net, device, convs in CASES:
         net_naive = 0.0

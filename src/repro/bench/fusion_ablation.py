@@ -23,6 +23,7 @@ LAYERS = (CIFAR10_CONVS[0], SIAMESE_CONVS[0], SIAMESE_CONVS[1],
 
 @cached("fusion_ablation")
 def run_fusion_ablation() -> ExperimentResult:
+    """Kernel fusion on launch-bound and compute-heavy layers."""
     dev = get_device(DEVICE)
     rows = []
     for cfg in LAYERS:

@@ -48,6 +48,7 @@ def inception_graph() -> KernelGraph:
 
 @cached("graph_ablation")
 def run_graph_ablation() -> ExperimentResult:
+    """Layer-wise barriers versus DAG dispatch on inception-5b."""
     # layer-wise GLP4NN: one barrier per unit
     ex = GLP4NNExecutor(fresh_gpu(DEVICE))
     works = [lower_conv_forward(cfg)

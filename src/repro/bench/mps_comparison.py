@@ -33,6 +33,7 @@ def _steady_mt(work, threads: int) -> float:
 
 @cached("mps_comparison")
 def run_mps_comparison() -> ExperimentResult:
+    """Single-thread stream pool versus multi-threaded dispatch."""
     rows = []
     for cfg in LAYERS:
         work = conv_forward_work(cfg)

@@ -27,6 +27,7 @@ TRAINING_ITERATIONS = 10_000
 
 @cached("table6")
 def run_table6() -> ExperimentResult:
+    """One-time profiling and analysis overhead against training."""
     rows = []
     worst_ratio = 0.0
     for net in NETWORK_ORDER:

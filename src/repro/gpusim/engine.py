@@ -270,6 +270,11 @@ class GPU:
         self._slot_waiters: list[KernelExecution] = []
         self._active_kernels = 0
         self._dispatch_fifo: deque[KernelExecution] = deque()
+        # Incremental dispatch: the FIFO head the scan set belongs to, and
+        # the indices of the SMs that may still take that head's blocks
+        # (see _try_dispatch).
+        self._scan_head: Optional[KernelExecution] = None
+        self._scan_set: set[int] = set()
         self._event_records: dict[int, _EventRecord] = {}
         # Per-spec launch constants, keyed by the spec's unique uid (uids
         # are allocated monotonically and never reused, so a cache entry
@@ -648,6 +653,9 @@ class GPU:
             if version != sm.version:
                 return  # stale prediction; resident set changed since push
             finished = sm.pop_finished(self.now)
+            if finished:
+                # Added before completions run: _complete_kernel dispatches.
+                self._scan_set.add(sm.index)
             for cohort in finished:
                 ke: KernelExecution = cohort.kernel_handle
                 ke.blocks_inflight -= cohort.n_blocks
@@ -754,37 +762,60 @@ class GPU:
         self._try_dispatch()
 
     def _try_dispatch(self) -> None:
-        """Leftover-policy block dispatcher: fill SMs from the oldest kernel."""
-        while self._dispatch_fifo:
-            head = self._dispatch_fifo[0]
+        """Leftover-policy block dispatcher: fill SMs from the oldest kernel.
+
+        Incremental: a new head gets a full scan of the SMs, later rounds
+        for the same head scan only the scan set.  An SM leaves the
+        candidates of a head only by being filled to its capped fit, and
+        nothing but a cohort release (``pop_finished``, which re-adds the
+        SM) can make it a candidate again: free resources fall only when
+        the head places blocks, ``served_per_sm`` only grows, and the head
+        changes only by ``popleft``.  So scanning the set in SM-index order
+        builds exactly the candidate list a full scan would.
+        """
+        fifo = self._dispatch_fifo
+        scan_set = self._scan_set
+        while fifo:
+            head = fifo[0]
             if head.blocks_unscheduled == 0:
-                self._dispatch_fifo.popleft()
+                fifo.popleft()
                 continue
-            placed = self._place_blocks(head)
+            if head is self._scan_head:
+                if not scan_set:
+                    return  # nothing freed since the head last stalled
+                sms = self.sms
+                scan = [sms[i] for i in sorted(scan_set)]
+            else:
+                self._scan_head = head
+                scan = self.sms
+            scan_set.clear()
+            placed = self._place_blocks(head, scan)
             if not placed:
                 return  # head stalls; younger kernels wait (leftover policy)
 
-    def _place_blocks(self, ke: KernelExecution) -> bool:
-        """Spread as many of ``ke``'s waiting blocks as fit across the SMs.
+    def _place_blocks(self, ke: KernelExecution, sms: list[SM]) -> bool:
+        """Spread as many of ``ke``'s waiting blocks as fit across ``sms``.
 
         Fair-share dispatch: over the kernel's lifetime, each SM serves at
         most ``ceil(grid / #SM)`` of its blocks.  This models the real
         hardware scheduler's fine-grained balancing — without it, the tail
         of a grid would pile onto whichever SM happens to free first, which
-        never happens on silicon where blocks retire one at a time.
+        never happens on silicon where blocks retire one at a time.  An SM
+        that gets fewer blocks than its capped fit goes back into the scan
+        set.
         """
         tpb, smem_pb, regs_pb = ke.block_req
         ideal = ke.ideal_per_sm
         served = ke.served_per_sm
         served_get = served.get
         candidates: list[tuple[int, SM, int]] = []
-        for sm in self.sms:
+        for sm in sms:
             allowance = ideal - served_get(sm.index, 0)
             if allowance <= 0:
                 continue
-            # Inlined SM.fit_count_fast: this scan visits every SM per
-            # placement round, and the call overhead alone was visible in
-            # the hot-loop profile.  Same integer arithmetic, same result.
+            # Inlined SM.fit_count_fast: this scan is the dispatcher's
+            # inner loop, and the call overhead alone was visible in the
+            # hot-loop profile.  Same integer arithmetic, same result.
             free_threads = sm.free_threads
             fit = free_threads // tpb
             if fit > sm.free_block_slots:
@@ -814,6 +845,7 @@ class GPU:
         work = ke.work_per_block
         demand = ke.demand_per_block
         warps = ke.warps_per_block
+        scan_set = self._scan_set
         placed_any = False
         for _, sm, fit in candidates:
             if ke.blocks_unscheduled == 0:
@@ -821,6 +853,8 @@ class GPU:
             n = min(fit, share, ke.blocks_unscheduled)
             if n <= 0:
                 continue
+            if n < fit:
+                scan_set.add(sm.index)
             sm.place_fast(now, ke, n, work, tpb, smem_pb, regs_pb,
                           demand, warps)
             served[sm.index] = served.get(sm.index, 0) + n

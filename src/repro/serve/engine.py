@@ -199,7 +199,6 @@ class ServingEngine:
         self.failed_batches = 0
         self._warmed = False
         self._base_us = 0.0
-        self._degraded_base = 0
 
     # ------------------------------------------------------------------
     def warm_up(self) -> None:
@@ -241,9 +240,11 @@ class ServingEngine:
         counts, failed batches, degraded layer runs (including those of
         a warmup this call triggers) and the queue high-water mark start
         from zero every time.  The lowering cache, the profiles and the
-        service-time estimate carry over, as warm serving state should.
+        service-time estimate carry over, as warm serving state should;
+        the scheduler's layer runs do not, so a long-lived engine keeps
+        only one call's runs.
         """
-        self._degraded_base = self.degraded_layer_runs()
+        self.executor.scheduler.reset_runs()
         if self.warmup:
             self.warm_up()
         self.slo = SLOTracker()
@@ -366,8 +367,7 @@ class ServingEngine:
             batches=batches,
             mean_batch=mean_batch,
             lowerings=self.cache.lowerings,
-            degraded_layers=(self.degraded_layer_runs()
-                             - self._degraded_base),
+            degraded_layers=self.degraded_layer_runs(),
             makespan_us=self.gpu.host_time - self._base_us,
             latency_mean_us=summary.get("latency_mean_us"),
             latency_p50_us=summary.get("latency_p50_us"),

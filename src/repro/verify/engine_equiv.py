@@ -13,8 +13,9 @@ This module discharges that obligation mechanically:
 * a registry of representative workloads (:data:`ENGINE_WORKLOADS`) —
   raw DAG launches, memcpy/compute overlap, CIFAR10 conv passes under
   the GLP4NN executor, interop inception plans (eager and graph
-  replay), a serving-fleet slice, a faulted run, and summaries of the
-  PR-4 differential suite plus the schedule/fleet fuzzers;
+  replay), a serving-fleet slice, a faulted run, summaries of the
+  PR-4 differential suite plus the schedule/fleet fuzzers, and a
+  many-wave CaffeNet forward pass;
 * each workload renders the engine-visible outcome to canonical text
   lines (``repr`` for floats, so every IEEE-754 bit participates) and
   hashes them (:func:`fingerprint_lines`);
@@ -179,6 +180,25 @@ def _wl_cifar10_conv_fwd() -> List[str]:
     return _timeline_lines(gpu)
 
 
+def _wl_caffenet_glp4nn_fwd() -> List[str]:
+    """CaffeNet batch-8 forward under GLP4NN on TitanXP: many-wave grids.
+
+    relu1 alone launches 4,538 blocks, so the block dispatcher runs many
+    waves per kernel while GLP4NN's multi-stream conv layers share SMs.
+    """
+    from repro.nn.zoo import NETWORKS
+    from repro.runtime.executor import GLP4NNExecutor
+    from repro.runtime.lowering import lower_net
+
+    works = lower_net(NETWORKS["CaffeNet"].build(batch=8), "forward")
+    gpu = GPU(get_device("TitanXP"), record_timeline=True)
+    ex = GLP4NNExecutor(gpu)
+    for _ in range(2):
+        ex.run_pass(works)
+    gpu.synchronize()
+    return _timeline_lines(gpu)
+
+
 def _wl_inception_5a_opara() -> List[str]:
     """Inception 5a under a certified opara plan, eager dispatch."""
     from repro.interop import build_plan, certify, inception_unit, run_plan
@@ -316,6 +336,7 @@ ENGINE_WORKLOADS: Dict[str, Callable[[], List[str]]] = {
     "faulted_run": _wl_faulted_run,
     "suite_differential": _wl_suite_differential,
     "suite_fuzzers": _wl_suite_fuzzers,
+    "caffenet_glp4nn_fwd": _wl_caffenet_glp4nn_fwd,
 }
 
 

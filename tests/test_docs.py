@@ -86,3 +86,35 @@ def test_checker_flags_unknown_bench_target(tmp_path):
     assert "warpdrive" in proc.stdout
     # the valid target and the bare --help invocation both pass
     assert proc.stdout.count("unknown bench target") == 1
+
+
+def test_checker_flags_blank_experiment_description(tmp_path):
+    # The experiment registry and each run function's docstring are read
+    # with ast, so the temp repo needs a registry and two bench modules:
+    # one run function with a docstring, one without.
+    repro = tmp_path / "src" / "repro"
+    (repro / "bench").mkdir(parents=True)
+    (repro / "cli.py").write_text(
+        "def _experiment_registry():\n"
+        "    from repro.bench.good import run_good\n"
+        "    from repro.bench.bare import run_bare\n"
+        "    return {\"good\": run_good, \"bare\": run_bare}\n",
+        encoding="utf-8",
+    )
+    (repro / "bench" / "good.py").write_text(
+        "def run_good():\n    \"\"\"Has a one-line description.\"\"\"\n",
+        encoding="utf-8",
+    )
+    (repro / "bench" / "bare.py").write_text(
+        "def run_bare():\n    return None\n", encoding="utf-8",
+    )
+    (tmp_path / "README.md").write_text("nothing to see\n",
+                                        encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "check_docs.py"),
+         str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "experiment `bare` has a blank description" in proc.stdout
+    assert proc.stdout.count("blank description") == 1

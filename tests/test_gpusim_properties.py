@@ -7,7 +7,8 @@ always satisfy:
 * kernels on one stream never overlap and retire in issue order;
 * the device-wide concurrency never exceeds the architecture degree;
 * simulation is deterministic;
-* time-averaged utilization stays in ``[0, 1]``.
+* time-averaged utilization stays in ``[0, 1]``;
+* incremental block dispatch matches a full scan of every SM.
 """
 
 from __future__ import annotations
@@ -220,3 +221,190 @@ def test_interning_never_aliases_distinct_records(reqs):
                 assert t1 is t2     # equal shapes share one canonical tuple
             else:
                 assert t1 != t2     # distinct shapes never alias
+
+
+# ----------------------------------------------------------------------
+# Incremental block dispatch == full-scan dispatch.  The engine rescans
+# only the SMs that may still take the dispatch-FIFO head's blocks; the
+# reference below is the full scan of every SM per placement round that
+# it replaced, kept here as an oracle.  Both must produce bit-identical
+# timelines, event counts and per-SM utilization integrals.
+
+import math
+import operator
+import random
+
+from hypothesis import example
+
+from repro.gpusim.graph import GraphOp
+from repro.gpusim.stream import Event, reset_handle_ids
+
+
+class _FullScanGPU(GPU):
+    """Reference dispatcher: every placement round scans every SM."""
+
+    def _try_dispatch(self) -> None:
+        while self._dispatch_fifo:
+            head = self._dispatch_fifo[0]
+            if head.blocks_unscheduled == 0:
+                self._dispatch_fifo.popleft()
+                continue
+            if not self._full_scan_place(head):
+                return
+
+    def _full_scan_place(self, ke) -> bool:
+        tpb, smem_pb, regs_pb = ke.block_req
+        served = ke.served_per_sm
+        candidates = []
+        for sm in self.sms:
+            allowance = ke.ideal_per_sm - served.get(sm.index, 0)
+            if allowance <= 0:
+                continue
+            fit = sm.fit_count_fast(tpb, smem_pb, regs_pb)
+            if fit > 0:
+                candidates.append((sm.free_threads, sm,
+                                   min(fit, allowance)))
+        if not candidates:
+            return False
+        candidates.sort(key=operator.itemgetter(0), reverse=True)
+        share = max(1, math.ceil(ke.blocks_unscheduled / len(candidates)))
+        placed_any = False
+        for _, sm, fit in candidates:
+            if ke.blocks_unscheduled == 0:
+                break
+            n = min(fit, share, ke.blocks_unscheduled)
+            sm.place_fast(self.now, ke, n, ke.work_per_block, tpb, smem_pb,
+                          regs_pb, ke.demand_per_block, ke.warps_per_block)
+            served[sm.index] = served.get(sm.index, 0) + n
+            ke.blocks_unscheduled -= n
+            ke.blocks_inflight += n
+            if ke.start_time is None:
+                ke.start_time = self.now
+            self._push_sm_completion(sm)
+            placed_any = True
+        return placed_any
+
+
+_dispatch_kernel = st.tuples(
+    st.one_of(st.integers(1, 64), st.integers(65, 1500)),      # blocks
+    st.sampled_from([32, 64, 128, 256, 512, 1024]),            # threads
+    st.sampled_from([0, 0, 4096, 12288, 24576, 49152]),        # smem
+    st.sampled_from([16, 32, 64, 128, 255]),                   # regs/thread
+    st.floats(50.0, 2e5),                                      # flops/thread
+    st.integers(0, 4),                                         # stream slot
+)
+
+_dispatch_op = st.one_of(
+    _dispatch_kernel.map(lambda k: ("launch", k)),
+    st.lists(_dispatch_kernel, min_size=1, max_size=3).map(
+        lambda ks: ("graph", ks)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+        lambda rw: ("record_wait", rw)),
+    st.just(("sync", None)),
+)
+
+_dispatch_program = st.fixed_dictionaries({
+    "device": st.sampled_from(["K40C", "P100"]),
+    "priorities": st.lists(st.integers(-2, 0), min_size=1, max_size=4),
+    "grant_seed": st.one_of(st.none(), st.integers(0, 2**16)),
+    "ops": st.lists(_dispatch_op, min_size=1, max_size=8),
+})
+
+
+def _dispatch_spec(i, blocks, threads, smem, regs, flops):
+    return KernelSpec(
+        name=f"d{i}",
+        launch=LaunchConfig(grid=(blocks, 1, 1), block=(threads, 1, 1),
+                            shared_mem_dynamic=smem,
+                            registers_per_thread=regs),
+        flops_per_thread=flops, bytes_per_thread=24.0, tag=str(i),
+    )
+
+
+def _run_dispatch_program(gpu_cls, program):
+    """Run ``program`` on a fresh ``gpu_cls`` device; return what it showed."""
+    reset_handle_ids()
+    props = get_device(program["device"])
+    gpu = gpu_cls(props)
+    streams = [gpu.create_stream(name=f"s{i}", priority=p)
+               for i, p in enumerate(program["priorities"])]
+    if program["grant_seed"] is not None:
+        rng = random.Random(program["grant_seed"])
+        gpu.grant_policy = lambda waiters: rng.randrange(len(waiters))
+
+    def stream_of(slot):
+        return None if slot == 0 else streams[slot % len(streams)]
+
+    def spec_of(i, kernel):
+        spec = _dispatch_spec(i, *kernel[:5])
+        try:
+            validate_launch(props, spec.launch)
+        except LaunchError:
+            return None
+        return spec
+
+    i = 0
+    for kind, arg in program["ops"]:
+        if kind == "launch":
+            spec = spec_of(i, arg)
+            if spec is not None:
+                gpu.launch(spec, stream=stream_of(arg[5]))
+            i += 1
+        elif kind == "graph":
+            ops = []
+            for kernel in arg:
+                spec = spec_of(i, kernel)
+                if spec is not None:
+                    ops.append(GraphOp("launch", spec=spec,
+                                       stream=stream_of(kernel[5])))
+                i += 1
+            if ops:
+                gpu.launch_graph(ops, name=f"g{i}")
+        elif kind == "record_wait":
+            event = Event(name=f"e{i}")
+            gpu.record_event(event, stream=stream_of(arg[0]))
+            gpu.wait_event(event, stream=stream_of(arg[1]))
+        else:
+            gpu.synchronize()
+    gpu.synchronize()
+    tl = gpu.timeline
+    return {
+        "rows": [(r.name, r.tag, r.stream_id, r.enqueue_us, r.start_us,
+                  r.end_us) for r in tl.records],
+        "syncs": [(s.kind, s.event_id, s.stream_id, s.enqueue_us,
+                   s.complete_us) for s in tl.syncs],
+        "events_processed": gpu.events_processed,
+        "now": gpu.now,
+        "host_time": gpu.host_time,
+        "sms": [(sm.busy_integral_us, sm.warp_integral) for sm in gpu.sms],
+    }
+
+
+# Pinned: on K40C a 727-block head fills every SM's block slots and
+# stalls, while a younger kernel from another stream waits behind it.
+_STALLED_HEAD = {
+    "device": "K40C",
+    "priorities": [0, -1],
+    "grant_seed": None,
+    "ops": [("launch", (727, 128, 0, 32, 4e4, 1)),
+            ("launch", (40, 256, 8192, 64, 2e4, 2))],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dispatch_program)
+@example(_STALLED_HEAD)
+def test_incremental_dispatch_matches_full_scan(program):
+    assert (_run_dispatch_program(GPU, program)
+            == _run_dispatch_program(_FullScanGPU, program))
+
+
+def test_stalled_head_with_younger_kernel_waiting_matches_full_scan():
+    got = _run_dispatch_program(GPU, _STALLED_HEAD)
+    assert got == _run_dispatch_program(_FullScanGPU, _STALLED_HEAD)
+    rows = {row[0]: row for row in got["rows"]}   # completion order
+    head_start, head_end = rows["d0"][4:6]
+    young_start = rows["d1"][4]
+    # The younger kernel could not start with the head (every SM was
+    # full) and flowed into the head's last wave (leftover policy).
+    assert head_start < young_start < head_end

@@ -95,6 +95,25 @@ class TestServingEngine:
             pytest.approx(80 - reports[1].shed_queue
                           - reports[1].shed_admission)
 
+    def test_scheduler_keeps_only_one_calls_layer_runs(self):
+        # A long-lived engine must not accumulate every LayerRun it ever
+        # made: after each serve() the scheduler holds exactly the runs of
+        # that call (the first call's warmup included).
+        engine = lenet_engine("glp4nn")
+        executor = engine.executor
+        calls = {"n": 0}
+        run = executor.run
+
+        def counting(work):
+            calls["n"] += 1
+            return run(work)
+
+        executor.run = counting
+        for seed in (3, 4, 5):
+            calls["n"] = 0
+            engine.serve(small_trace(seed=seed))
+            assert len(executor.scheduler.runs) == calls["n"] > 0
+
     def test_no_wall_clock_no_failures_on_clean_run(self):
         report = lenet_engine().serve(small_trace())
         assert report.failed == 0
